@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 test suite + TCP loopback smoke + seeded
-# chaos/crash-resume smokes + telemetry overhead budget.
+# CI entry point: tier-1 test suite + traced federation benchmark checks +
+# TCP loopback smoke + seeded chaos/crash-resume smokes + telemetry
+# overhead budget.
 #
 #   scripts/ci.sh            # full run
 #   scripts/ci.sh --fast     # tier-1 tests only (skip smoke + bench)
@@ -31,6 +32,12 @@ echo "== tier-1 tests =="
 python -m pytest -x -q tests
 
 if [[ "${1:-}" != "--fast" ]]; then
+    echo "== federation benchmark, traced (output checks) =="
+    # one short traced sim-hetero run: exits non-zero unless every episode
+    # ends on one digest, tcp == sim, each replayed kernel is bit-identical
+    # to the workload's call, and the round phases account for the wall
+    python3 perfbench/run.py --workload sim-hetero --seed 1 --seconds 1 --trace 1 > /dev/null
+
     echo "== tcp loopback smoke =="
     SMOKE_DIR="$(mktemp -d)"
     trap 'rm -rf "$SMOKE_DIR"' EXIT

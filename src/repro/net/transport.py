@@ -325,11 +325,7 @@ class TcpTransport:
             ):
                 time.sleep(0.01)
         self._closing = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._close_listener()
         for link in list(self._links):
             link.conn.close()
         for t in self._threads:
@@ -344,16 +340,26 @@ class TcpTransport:
         reconnect-and-REJOIN path against a resumed server.
         """
         self._closing = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._close_listener()
         for link in list(self._links):
             link.alive = False  # no events, no BYE-ack wait on a later close()
             link.conn.close()
         for t in self._threads:
             t.join(timeout=2.0)
+
+    def _close_listener(self) -> None:
+        # on Linux, close() alone leaves the accept thread blocked in
+        # accept() until its join times out; shutdown() wakes it
+        if self._listener is None:
+            return
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._listener.close()
+        except OSError:
+            pass
 
     # -- registry -------------------------------------------------------
     @property

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
+from repro.telemetry.opprof import profiled_op
+from repro.tensor import Tensor, unbroadcast
 
 __all__ = ["BatchNorm2d", "BatchNorm1d"]
 
@@ -40,31 +41,76 @@ class _BatchNorm(Module):
         raise NotImplementedError
 
     def forward(self, x: Tensor) -> Tensor:
-        axes = self._stats_axes(x)
-        shape = self._reshape_param(None, x.ndim)
         if self.training:
-            mu = x.mean(axis=axes, keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=axes, keepdims=True)
-            # Update running stats outside the tape.
-            n = x.data.size / self.num_features
-            unbiased = var.data.reshape(self.num_features) * (n / max(1.0, n - 1))
-            m = self.momentum
-            self._set_buffer(
-                "running_mean",
-                (1 - m) * self.running_mean + m * mu.data.reshape(self.num_features),
-            )
-            self._set_buffer("running_var", (1 - m) * self.running_var + m * unbiased)
-            self._set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
-            inv_std = (var + self.eps) ** -0.5
-            out = centered * inv_std
-        else:
-            mu = self.running_mean.reshape(shape)
-            std = np.sqrt(self.running_var.reshape(shape) + self.eps)
-            out = (x - Tensor(mu)) * Tensor(1.0 / std)
+            return self._batch_norm(x)
+        shape = self._reshape_param(None, x.ndim)
+        mu = self.running_mean.reshape(shape)
+        std = np.sqrt(self.running_var.reshape(shape) + self.eps)
+        out = (x - Tensor(mu)) * Tensor(1.0 / std)
         if self.weight is not None:
             out = out * self.weight.reshape(shape) + self.bias.reshape(shape)
         return out
+
+    @profiled_op("batch_norm")
+    def _batch_norm(self, x: Tensor) -> Tensor:
+        """Batch-statistics normalization as one tape node.
+
+        Forward and backward evaluate, operation for operation, what the
+        tape composition ``(x - mean) * (var + eps) ** -0.5 * weight + bias``
+        evaluates, and the two gradients that composition sends to ``x``
+        (through the centering and through the mean) reach it as two
+        contributions, in its order.  Outputs and gradients are therefore
+        bit-identical to the composition's.
+        """
+        axes = self._stats_axes(x)
+        shape = self._reshape_param(None, x.ndim)
+        weight, bias = self.weight, self.bias
+        xd = x.data
+        mu = xd.mean(axis=axes, keepdims=True)
+        centered = xd - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        var_eps = var + self.eps
+        inv_std = var_eps**-0.5
+        normed = centered * inv_std
+        if weight is None:
+            out = normed
+        else:
+            w = weight.data.reshape(shape)
+            out = normed * w + bias.data.reshape(shape)
+        count = xd.size / mu.size
+
+        # Update running stats outside the tape.
+        n = xd.size / self.num_features
+        unbiased = var.reshape(self.num_features) * (n / max(1.0, n - 1))
+        m = self.momentum
+        self._set_buffer(
+            "running_mean",
+            (1 - m) * self.running_mean + m * mu.reshape(self.num_features),
+        )
+        self._set_buffer("running_var", (1 - m) * self.running_var + m * unbiased)
+        self._set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
+
+        def backward(grad):
+            if weight is None:
+                g_normed = grad
+            else:
+                g_bias = unbroadcast(grad, shape).reshape(bias.shape)
+                g_weight = unbroadcast(grad * normed, shape).reshape(weight.shape)
+                g_normed = grad * w
+            g_centered = g_normed * inv_std
+            g_inv_std = unbroadcast(g_normed * centered, inv_std.shape)
+            g_var = g_inv_std * -0.5 * var_eps**-1.5
+            # the square's gradient, once per operand
+            g_square = (np.broadcast_to(g_var, xd.shape) / count) * centered
+            g_centered += g_square
+            g_centered += g_square
+            g_mean = np.broadcast_to(unbroadcast(-g_centered, mu.shape), xd.shape) / count
+            if weight is None:
+                return g_centered, g_mean
+            return g_centered, g_mean, g_weight, g_bias
+
+        parents = (x, x) if weight is None else (x, x, weight, bias)
+        return Tensor._make(out, parents, backward)
 
 
 class BatchNorm2d(_BatchNorm):

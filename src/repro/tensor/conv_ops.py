@@ -5,13 +5,15 @@ The convolution lowers each input window into a column matrix once
 passes (input, weight, bias) as dense matrix products — the standard HPC
 formulation that keeps all FLOPs inside BLAS instead of Python loops.
 
-Index arrays for the gather/scatter are cached per (shape, kernel, stride)
-so repeated minibatches of the same geometry pay the indexing cost once.
+``im2col``, its adjoint ``col2im`` and ``max_pool2d`` work tap by tap:
+one strided slice of the image per kernel offset (a, b), so every copy
+and add is a whole-array NumPy operation.  The matrix products are the
+``matmul`` calls ``np.einsum(..., optimize=True)`` makes for the same
+contractions, on the same operand layouts, without its per-call path
+search; results are bit-identical to the einsum formulation.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,39 +32,59 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=256)
-def _col_indices(channels: int, height: int, width: int, kh: int, kw: int, stride: int):
-    """Return (k, i, j) gather indices mapping an image to its column form.
-
-    Shapes: each is ``(C*kh*kw, out_h*out_w)`` so
-    ``x[:, k, i, j]`` has shape ``(N, C*kh*kw, out_h*out_w)``.
-    """
-    out_h = (height - kh) // stride + 1
-    out_w = (width - kw) // stride + 1
-    i0 = np.tile(np.repeat(np.arange(kh), kw), channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    return k, i, j, out_h, out_w
+def _tap(a: int, b: int, stride: int, out_h: int, out_w: int) -> tuple:
+    """Index of the image pixels that kernel offset (a, b) reads, one per window."""
+    return (Ellipsis, slice(a, a + stride * out_h, stride), slice(b, b + stride * out_w, stride))
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """Lower NCHW ``x`` into columns of shape ``(N, C*kh*kw, L)``."""
+    """Lower NCHW ``x`` into C-contiguous columns of shape ``(N, C*kh*kw, L)``."""
     n, c, h, w = x.shape
-    k, i, j, out_h, out_w = _col_indices(c, h, w, kh, kw, stride)
-    return x[:, k, i, j], out_h, out_w
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
+    for a in range(kh):
+        for b in range(kw):
+            cols[:, :, a, b] = x[_tap(a, b, stride, out_h, out_w)]
+    return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
 
 def col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back into an image."""
+    """Adjoint of :func:`im2col`: sum each tap's columns back onto the image.
+
+    Taps are added in ascending (a, b) order, the order in which an
+    ``np.add.at`` scatter over the column index accumulates, so every
+    pixel sums its window contributions in the same order and rounds the
+    same way.
+    """
     n, c, h, w = x_shape
-    k, i, j, _, _ = _col_indices(c, h, w, kh, kw, stride)
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    taps = np.ascontiguousarray(cols).reshape(n, c, kh, kw, out_h, out_w)
     out = np.zeros(x_shape, dtype=cols.dtype)
-    np.add.at(out, (slice(None), k, i, j), cols)
+    for a in range(kh):
+        for b in range(kw):
+            out[_tap(a, b, stride, out_h, out_w)] += taps[:, :, a, b]
     return out
+
+
+def _einsum_layout(cols: np.ndarray) -> np.ndarray:
+    """``cols`` in the memory order ``(C*kh*kw, L, N)``, for the einsum fallback.
+
+    With no length-1 axis, ``np.einsum(..., optimize=True)`` contracts
+    through one ``matmul`` on C-contiguous copies, which the kernels below
+    call directly.  When an axis has length 1, einsum drops it and hands
+    ``matmul`` views, so the operand's memory layout reaches BLAS; those
+    shapes call einsum on the layout a fancy-index gather
+    (``x[:, k, i, j]``) produces, keeping them bit-identical to the
+    einsum formulation over that gather.
+    """
+    return np.ascontiguousarray(cols.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def _rows(a: np.ndarray, axes: tuple, shape: tuple) -> np.ndarray:
+    """``a`` transposed to ``axes`` and copied C-contiguous as ``shape``."""
+    return np.ascontiguousarray(a.transpose(axes)).reshape(shape)
 
 
 @profiled_op("conv2d")
@@ -89,21 +111,40 @@ def conv2d(
         raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {c_w}")
 
     cols, out_h, out_w = im2col(x.data, kh, kw, stride)  # (N, CKK, L)
+    ckk, npix = c * kh * kw, out_h * out_w
     w_mat = weight.data.reshape(f, -1)  # (F, CKK)
-    out = np.einsum("fk,nkl->nfl", w_mat, cols, optimize=True)
+    blas = min(n, f, ckk, npix) > 1  # else see _einsum_layout
+    if blas:
+        # einsum("fk,nkl->nfl"): (N·L, CKK) @ (CKK, F), viewed back as (N, F, L)
+        out = np.matmul(_rows(cols, (0, 2, 1), (n * npix, ckk)), w_mat.T)
+        out = out.reshape(n, npix, f).transpose(0, 2, 1)
+    else:
+        cols = _einsum_layout(cols)
+        out = np.einsum("fk,nkl->nfl", w_mat, cols, optimize=True)
     out = out.reshape(n, f, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, f, 1, 1)
 
     x_shape = x.data.shape
     w_shape = weight.data.shape
+    need_gx = x.requires_grad
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad):
-        grad_mat = grad.reshape(n, f, out_h * out_w)  # (N, F, L)
-        gw = np.einsum("nfl,nkl->fk", grad_mat, cols, optimize=True).reshape(w_shape)
-        gcols = np.einsum("fk,nfl->nkl", w_mat, grad_mat, optimize=True)
-        gx = col2im(gcols, x_shape, kh, kw, stride)
+        grad_mat = grad.reshape(n, f, npix)  # (N, F, L)
+        gx = None
+        if blas:
+            # einsum("nfl,nkl->fk") and einsum("fk,nfl->nkl") share the (N·L, F) operand
+            g_rows = grad_mat.transpose(0, 2, 1).reshape(n * npix, f)
+            gw = np.matmul(_rows(cols, (1, 0, 2), (ckk, n * npix)), g_rows).T.reshape(w_shape)
+            if need_gx:
+                gcols = np.matmul(g_rows, w_mat).reshape(n, npix, ckk).transpose(0, 2, 1)
+                gx = col2im(gcols, x_shape, kh, kw, stride)
+        else:
+            gw = np.einsum("nfl,nkl->fk", grad_mat, cols, optimize=True).reshape(w_shape)
+            if need_gx:
+                gcols = np.einsum("fk,nfl->nkl", w_mat, grad_mat, optimize=True)
+                gx = col2im(gcols, x_shape, kh, kw, stride)
         if bias is None:
             return gx, gw
         gb = grad.sum(axis=(0, 2, 3))
@@ -137,22 +178,40 @@ def depthwise_conv2d(
         raise ValueError(f"depthwise weight shape {weight.data.shape} mismatches {c} channels")
 
     cols, out_h, out_w = im2col(x.data, kh, kw, stride)  # (N, C*kh*kw, L)
-    cols_g = cols.reshape(n, c, kh * kw, out_h * out_w)
-    w_mat = weight.data.reshape(c, kh * kw)
-    out = np.einsum("ck,nckl->ncl", w_mat, cols_g, optimize=True)
+    kk, npix = kh * kw, out_h * out_w
+    blas = min(n, c, kk, npix) > 1  # else see _einsum_layout
+    if not blas:
+        cols = _einsum_layout(cols)
+    cols_g = cols.reshape(n, c, kk, npix)
+    w_mat = weight.data.reshape(c, kk)
+    if blas:
+        # einsum("ck,nckl->ncl"): per channel, (N·L, kk) @ (kk, 1), viewed back as (N, C, L)
+        out = np.matmul(_rows(cols_g, (1, 0, 3, 2), (c, n * npix, kk)), w_mat.reshape(c, kk, 1))
+        out = out.reshape(c, n, npix).transpose(1, 0, 2)
+    else:
+        out = np.einsum("ck,nckl->ncl", w_mat, cols_g, optimize=True)
     out = out.reshape(n, c, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, c, 1, 1)
 
     x_shape = x.data.shape
     w_shape = weight.data.shape
+    need_gx = x.requires_grad
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad):
-        grad_mat = grad.reshape(n, c, out_h * out_w)
-        gw = np.einsum("ncl,nckl->ck", grad_mat, cols_g, optimize=True).reshape(w_shape)
-        gcols = np.einsum("ck,ncl->nckl", w_mat, grad_mat, optimize=True)
-        gx = col2im(gcols.reshape(n, c * kh * kw, out_h * out_w), x_shape, kh, kw, stride)
+        grad_mat = grad.reshape(n, c, npix)
+        if blas:
+            # einsum("ncl,nckl->ck"): per channel, (kk, N·L) @ (N·L, 1)
+            g_col = grad_mat.transpose(1, 0, 2).reshape(c, n * npix, 1)
+            gw = np.matmul(_rows(cols_g, (1, 2, 0, 3), (c, kk, n * npix)), g_col).reshape(w_shape)
+        else:
+            gw = np.einsum("ncl,nckl->ck", grad_mat, cols_g, optimize=True).reshape(w_shape)
+        gx = None
+        if need_gx:
+            # einsum("ck,ncl->nckl") has no contracted index: a broadcast product
+            gcols = grad_mat.reshape(n, c, 1, npix) * w_mat.reshape(1, c, kk, 1)
+            gx = col2im(gcols.reshape(n, c * kk, npix), x_shape, kh, kw, stride)
         if bias is None:
             return gx, gw
         return gx, gw, grad.sum(axis=(0, 2, 3))
@@ -160,49 +219,82 @@ def depthwise_conv2d(
     return Tensor._make(out, parents, backward)
 
 
+def _first_max(taps: list, best: np.ndarray) -> np.ndarray:
+    """Index of the first tap equal to ``best``, per window (NaN-free input)."""
+    k2 = len(taps)
+    dtype = np.min_scalar_type(k2)
+    first = np.full(best.shape, k2, dtype=dtype)
+    cand = np.empty(best.shape, dtype=dtype)
+    for t, tap in enumerate(taps):
+        # cand = t where the tap holds the maximum, k2 elsewhere
+        np.multiply(np.equal(tap, best).view(np.uint8), dtype.type(k2 - t), out=cand)
+        np.subtract(dtype.type(k2), cand, out=cand)
+        np.minimum(first, cand, out=first)
+    return first
+
+
 @profiled_op("max_pool2d")
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None, padding: int = 0) -> Tensor:
-    """Max pooling over NCHW; gradient routes to the argmax of each window."""
+    """Max pooling over NCHW; gradient routes to the argmax of each window.
+
+    Like ``argmax``, the first maximum of a window wins a tie and the
+    first NaN wins over any number.  Stride-1 windows read each tap as a
+    contiguous slice of the flattened (padded) image: the frame then
+    covers every start position, and only its first ``out_h × out_w``
+    rows and columns are real windows (strided taps are exactly those).
+    """
     x = as_tensor(x)
     if stride is None:
         stride = kernel_size
-    if padding:
-        # Pad with -inf so padded cells never win the max.
-        pads = [(0, 0), (0, 0), (padding, padding), (padding, padding)]
-        padded = np.pad(x.data, pads, constant_values=-np.inf)
-        inner = Tensor._make(padded, (x,), None)
-        h0, w0 = x.data.shape[2], x.data.shape[3]
+    n, c, h0, w0 = x.data.shape
+    k, p = kernel_size, padding
+    h, w = h0 + 2 * p, w0 + 2 * p
+    out_h = (h - k) // stride + 1
+    out_w = (w - k) // stride + 1
+    offsets = [(a, b) for a in range(k) for b in range(k)]
 
-        def unpad_backward(grad):
-            return (grad[:, :, padding : padding + h0, padding : padding + w0],)
+    # padded cells hold -inf so they never win the max; the tail lets the
+    # last stride-1 frame taps run past the final image
+    tail = (k - 1) * (w + 1) if stride == 1 else 0
+    flat = np.full(n * c * h * w + tail, -np.inf, dtype=x.data.dtype)
+    padded = flat[: n * c * h * w].reshape(n, c, h, w)
+    padded[:, :, p : p + h0, p : p + w0] = x.data
+    if stride == 1:
+        taps = [flat[a * w + b : a * w + b + padded.size].reshape(n, c, h, w) for a, b in offsets]
+    else:
+        taps = [padded[_tap(a, b, stride, out_h, out_w)] for a, b in offsets]
 
-        inner._backward = unpad_backward if inner.requires_grad else None
-        x = inner
-
-    n, c, h, w = x.data.shape
-    kh = kw = kernel_size
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (N, C, oh, ow, kh, kw)
-    flat = windows.reshape(n, c, out_h, out_w, kh * kw)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-
-    a, b = np.unravel_index(idx, (kh, kw))
-    hh = (np.arange(out_h) * stride).reshape(1, 1, out_h, 1) + a
-    ww = (np.arange(out_w) * stride).reshape(1, 1, 1, out_w) + b
-    n_idx = np.arange(n).reshape(n, 1, 1, 1)
-    c_idx = np.arange(c).reshape(1, c, 1, 1)
-    in_shape = x.data.shape
+    best = taps[0].copy()
+    if np.isnan(x.data).any() or (np.signbit(x.data) & (x.data == 0)).any():
+        # argmax decides which NaN or which signed zero a window returns:
+        # take a tap wherever argmax would move to it
+        first = np.zeros(best.shape, dtype=np.min_scalar_type(k * k))
+        for t in range(1, len(taps)):
+            upd = ~(taps[t] <= best) & ~np.isnan(best)
+            np.copyto(best, taps[t], where=upd)
+            np.copyto(first, t, where=upd)
+    else:
+        # every window maximum is one number whatever tap holds it, so the
+        # max needs no argmax; backward finds the first tap that holds it
+        first = None
+        for tap in taps[1:]:
+            np.maximum(best, tap, out=best)
 
     def backward(grad):
-        gx = np.zeros(in_shape, dtype=grad.dtype)
-        np.add.at(gx, (n_idx, c_idx, hh, ww), grad)
-        return (gx,)
+        win = (_first_max(taps, best) if first is None else first)[:, :, :out_h, :out_w]
+        # flat padded-image position of each window's argmax, in window order
+        start = (np.arange(n * c).reshape(n, c, 1, 1) * h + stride * np.arange(out_h).reshape(out_h, 1)) * w
+        pos = (start + stride * np.arange(out_w) + np.array([a * w + b for a, b in offsets])[win]).ravel()
+        if grad.dtype == np.float64:
+            # bincount adds the weights in input order, as add.at does
+            gx = np.bincount(pos, weights=grad.ravel(), minlength=padded.size)
+        else:
+            gx = np.zeros(padded.size, dtype=grad.dtype)
+            np.add.at(gx, pos, grad.ravel())
+        gx = gx.reshape(n, c, h, w)
+        return (gx[:, :, p : p + h0, p : p + w0] if p else gx,)
 
-    return Tensor._make(out, (x,), backward)
+    return Tensor._make(np.ascontiguousarray(best[:, :, :out_h, :out_w]), (x,), backward)
 
 
 @profiled_op("avg_pool2d")

@@ -180,6 +180,27 @@ class TestRoundTraffic:
         assert lost == [[0, 1]]
 
 
+class TestTeardown:
+    """close()/abort() wake the accept thread instead of waiting out its join."""
+
+    @pytest.mark.parametrize("stop", ["close", "abort"])
+    def test_stop_joins_every_thread_promptly(self, stop):
+        tp = TcpTransport(2, liveness_timeout_s=30.0)
+        tp.listen()
+        w = joined_worker(tp, [0, 1])
+        tp.wait_for_workers(5.0)
+        w.close()  # gone before teardown: close() has no BYE to wait for
+        for _ in range(100):
+            if not tp.live_links():
+                break
+            time.sleep(0.05)
+        t0 = time.perf_counter()
+        getattr(tp, stop)()
+        assert time.perf_counter() - t0 < 1.0
+        assert len(tp._threads) == 2  # accept + one reader
+        assert not any(t.is_alive() for t in tp._threads)
+
+
 class TestTransportParityOps:
     def test_bcast_and_gather(self, transport):
         w = joined_worker(transport, [0, 1])
