@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 test suite + traced federation benchmark checks +
-# TCP loopback smoke + seeded chaos/crash-resume smokes + telemetry
-# overhead budget.
+# CI entry point: runtime-dependency import check + tier-1 test suite +
+# traced federation benchmark checks + TCP loopback smoke + seeded
+# chaos/crash-resume smokes + telemetry overhead budget.
 #
 #   scripts/ci.sh            # full run
-#   scripts/ci.sh --fast     # tier-1 tests only (skip smoke + bench)
+#   scripts/ci.sh --fast     # import check + tier-1 tests (skip smoke + bench)
 #
+# The import check (both modes) imports the package, the CLI, the comm
+# layer and the TCP runtime with networkx made unimportable, so a runtime
+# dependency that pyproject.toml no longer declares fails CI.
 # The TCP smoke runs the same 2-round federation through both transports
 # and requires the saved global classifiers to be byte-identical — the
 # distributed runtime's core guarantee — plus a clean shutdown with no
@@ -27,6 +30,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+echo "== runtime imports without networkx =="
+python -c 'import sys; sys.modules["networkx"] = None; import repro, repro.cli, repro.comm, repro.net'
 
 echo "== tier-1 tests =="
 python -m pytest -x -q tests

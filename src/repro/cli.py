@@ -55,6 +55,8 @@ trajectory bit-exactly.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import time
 
@@ -503,9 +505,42 @@ def _steady_round_bytes(per_round: list) -> float:
     return float(sum(tail)) / max(1, len(tail))
 
 
+def _bench_gate(args, entry: dict, failures: list[str], compare) -> int:
+    """Append ``entry`` to the ``--output`` trajectory and gate it.
+
+    ``compare(last)`` checks the fresh entry against the last entry of the
+    ``--baseline`` trajectory and returns ``(failure, note)``: a failure
+    message, or ``None`` and a note to print when within tolerance.
+    Returns the exit code: 1 on any failure under ``--gate``, else 0.
+    """
+    doc = {"schema": 1, "entries": []}
+    if os.path.exists(args.output):
+        with open(args.output) as fh:
+            doc = json.load(fh)
+    doc["entries"].append(entry)
+    with open(args.output, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"trajectory entry written to {args.output}")
+
+    if args.baseline is not None and os.path.exists(args.baseline):
+        with open(args.baseline) as fh:
+            base_entries = json.load(fh).get("entries", [])
+        if base_entries:
+            failure, note = compare(base_entries[-1])
+            if failure is not None:
+                failures.append(failure)
+            else:
+                print(note)
+    for f in failures:
+        print(f"bench gate: FAIL — {f}", file=sys.stderr if args.gate else sys.stdout)
+    if failures:
+        return 1 if args.gate else 0
+    print("bench gate: OK")
+    return 0
+
+
 def bench_comm_main(argv: list[str]) -> int:
-    import json
-    import os
     from dataclasses import asdict
 
     from repro.experiments.common import make_spec
@@ -567,15 +602,18 @@ def bench_comm_main(argv: list[str]) -> int:
     entry["delta_savings"] = savings
     print(f"steady-state delta savings vs full wire: {savings:.1%}")
 
-    doc = {"schema": 1, "entries": []}
-    if os.path.exists(args.output):
-        with open(args.output) as fh:
-            doc = json.load(fh)
-    doc["entries"].append(entry)
-    with open(args.output, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"trajectory entry written to {args.output}")
+    def compare(last: dict):
+        base = last["wires"]["delta"]["steady_round_bytes"]
+        if delta_s > base * (1.0 + args.bytes_inflate):
+            return (
+                f"steady-state delta-wire bytes regressed: {delta_s:.0f} vs "
+                f"baseline {base:.0f} (+{delta_s / base - 1.0:.1%} > "
+                f"+{args.bytes_inflate:.0%} allowed)"
+            ), None
+        return None, (
+            f"baseline check: {delta_s:.0f} B/round vs committed "
+            f"{base:.0f} B/round — within tolerance"
+        )
 
     failures: list[str] = []
     if savings < args.min_savings:
@@ -583,28 +621,7 @@ def bench_comm_main(argv: list[str]) -> int:
             f"delta wire saves {savings:.1%} steady-state bytes, "
             f"needs >= {args.min_savings:.0%}"
         )
-    if args.baseline is not None and os.path.exists(args.baseline):
-        with open(args.baseline) as fh:
-            base_entries = json.load(fh).get("entries", [])
-        if base_entries:
-            base = base_entries[-1]["wires"]["delta"]["steady_round_bytes"]
-            if delta_s > base * (1.0 + args.bytes_inflate):
-                failures.append(
-                    f"steady-state delta-wire bytes regressed: {delta_s:.0f} vs "
-                    f"baseline {base:.0f} (+{delta_s / base - 1.0:.1%} > "
-                    f"+{args.bytes_inflate:.0%} allowed)"
-                )
-            else:
-                print(
-                    f"baseline check: {delta_s:.0f} B/round vs committed "
-                    f"{base:.0f} B/round — within tolerance"
-                )
-    for f in failures:
-        print(f"bench gate: FAIL — {f}", file=sys.stderr if args.gate else sys.stdout)
-    if failures:
-        return 1 if args.gate else 0
-    print("bench gate: OK")
-    return 0
+    return _bench_gate(args, entry, failures, compare)
 
 
 def build_bench_net_parser() -> argparse.ArgumentParser:
@@ -648,8 +665,6 @@ def build_bench_net_parser() -> argparse.ArgumentParser:
 
 
 def bench_net_main(argv: list[str]) -> int:
-    import json
-    import os
     import tempfile
     from dataclasses import asdict
 
@@ -749,39 +764,20 @@ def bench_net_main(argv: list[str]) -> int:
             f"{rtts[0] * 1e3:.2f} ms, p50 {rtts[len(rtts) // 2] * 1e3:.2f} ms"
         )
 
-    doc = {"schema": 1, "entries": []}
-    if os.path.exists(args.output):
-        with open(args.output) as fh:
-            doc = json.load(fh)
-    doc["entries"].append(entry)
-    with open(args.output, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"trajectory entry written to {args.output}")
+    def compare(last: dict):
+        base_rps = float(last["rounds_per_s"])
+        if rounds_per_s < base_rps * (1.0 - args.slowdown):
+            return (
+                f"rounds/sec regressed: {rounds_per_s:.3f} vs baseline "
+                f"{base_rps:.3f} ({rounds_per_s / base_rps - 1.0:+.1%} < "
+                f"-{args.slowdown:.0%} allowed)"
+            ), None
+        return None, (
+            f"baseline check: {rounds_per_s:.3f} rounds/s vs committed "
+            f"{base_rps:.3f} rounds/s — within tolerance"
+        )
 
-    failures: list[str] = []
-    if args.baseline is not None and os.path.exists(args.baseline):
-        with open(args.baseline) as fh:
-            base_entries = json.load(fh).get("entries", [])
-        if base_entries:
-            base_rps = float(base_entries[-1]["rounds_per_s"])
-            if rounds_per_s < base_rps * (1.0 - args.slowdown):
-                failures.append(
-                    f"rounds/sec regressed: {rounds_per_s:.3f} vs baseline "
-                    f"{base_rps:.3f} ({rounds_per_s / base_rps - 1.0:+.1%} < "
-                    f"-{args.slowdown:.0%} allowed)"
-                )
-            else:
-                print(
-                    f"baseline check: {rounds_per_s:.3f} rounds/s vs committed "
-                    f"{base_rps:.3f} rounds/s — within tolerance"
-                )
-    for f in failures:
-        print(f"bench gate: FAIL — {f}", file=sys.stderr if args.gate else sys.stdout)
-    if failures:
-        return 1 if args.gate else 0
-    print("bench gate: OK")
-    return 0
+    return _bench_gate(args, entry, [], compare)
 
 
 def build_trace_merge_parser() -> argparse.ArgumentParser:
@@ -814,8 +810,6 @@ def build_trace_merge_parser() -> argparse.ArgumentParser:
 
 
 def trace_merge_main(argv: list[str]) -> int:
-    import json
-
     args = build_trace_merge_parser().parse_args(argv)
     trace = telemetry.merge_traces(
         read_jsonl(args.server), [read_jsonl(p) for p in args.workers]

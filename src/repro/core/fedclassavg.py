@@ -129,7 +129,7 @@ class FedClassAvg(FederatedAlgorithm):
             self.global_state = weighted_average_state(states, weights)
 
     # ------------------------------------------------------------------
-    def round(self, t: int, sampled: list[int]) -> float:
+    def round(self, t: int, sampled: list[int]) -> float | None:
         assert self.global_state is not None
         server = self.server_rank()
 
@@ -162,7 +162,6 @@ class FedClassAvg(FederatedAlgorithm):
         uploading = (
             self.fault_injector.survivors(sampled) if self.fault_injector is not None else sampled
         )
-        self.last_survivors = list(uploading)
 
         def outgoing(k: int) -> dict[str, np.ndarray]:
             state = self._client_payload(self.clients[k])
@@ -211,11 +210,11 @@ class FedClassAvg(FederatedAlgorithm):
         if outcome.global_state is not None:
             self.global_state = outcome.global_state
         self.rejections.extend(outcome.rejected)
-        admitted = list(outcome.admitted)
-        self.last_survivors = admitted
+        self.last_survivors = list(outcome.admitted)
         # The reported train loss mirrors what the server can observe:
         # the mean over *admitted* clients — a faulted or quarantined
-        # client's loss never enters the server-side metric.
+        # client's loss never enters the server-side metric, and a round
+        # that admitted nothing has no loss (None), not a perfect 0.0.
         loss_by_client = dict(zip(sampled, losses))
-        survivor_losses = [loss_by_client[k] for k in admitted]
-        return float(np.mean(survivor_losses)) if survivor_losses else 0.0
+        survivor_losses = [loss_by_client[k] for k in self.last_survivors]
+        return float(np.mean(survivor_losses)) if survivor_losses else None

@@ -35,7 +35,7 @@ def _instrument(fn):
     tel = telemetry.get_telemetry()
     if not tel.enabled:
         return fn
-    hist = tel.histogram("executor.task_s")
+    hist = tel.latency("executor.task_s")
     tasks = tel.counter("executor.tasks")
     tracer = tel.tracer
     parent_id = tracer.current_span_id()

@@ -30,8 +30,9 @@ from repro import telemetry
 from repro.comm.cost import CostModel
 from repro.federated.aggregation import drop_nonfinite_states, weighted_average_state
 from repro.federated.checkpoint import load_server_checkpoint, save_server_checkpoint
+from repro.federated.base import FederatedAlgorithm
+from repro.federated.history import RunHistory
 from repro.federated.robust import admit_and_aggregate, make_aggregator, screen_updates
-from repro.federated.history import RoundMetrics, RunHistory
 from repro.federated.sampler import ClientSampler
 from repro.net.encoding import parse_wire_mode
 from repro.net.protocol import MsgType
@@ -183,14 +184,16 @@ class ServerResult:
         self.rejected_updates = list(rejected_updates or [])
 
 
-class FedTcpServer:
-    """Server-side FedClassAvg round loop over a :class:`TcpTransport`.
+class FedTcpServer(FederatedAlgorithm):
+    """Server-side FedClassAvg over a :class:`TcpTransport`.
 
-    Mirrors :meth:`repro.federated.base.FederatedAlgorithm.run`'s
-    bookkeeping (health-monitor round lifecycle, per-round telemetry
-    records, :class:`RunHistory` rows) so a TCP run's telemetry file is
-    directly comparable — ``repro diff simrun.jsonl tcprun.jsonl`` —
-    with an in-process run's.
+    Runs :meth:`repro.federated.base.FederatedAlgorithm.run`, the round
+    loop the in-process algorithms use, and supplies only the transport:
+    ``setup`` joins the workers and builds the t=0 global classifier,
+    ``round`` broadcasts, collects, screens, applies quorum and
+    aggregates, ``evaluate_all`` collects the workers' accuracies, and
+    ``after_round`` checkpoints, fires crash hooks and stops once every
+    worker is lost.
     """
 
     name = "fedclassavg"
@@ -253,15 +256,11 @@ class FedTcpServer:
         self._lost_now: set[int] = set()
         self._current_round = -1
         self._round_info: dict = {"round": -1}
-        self._start_round = 0
-        self._history = RunHistory(self.name)
-        self._round_log: list[dict] = []
-        self._last_accs: list[float] = [0.0] * num_clients
-        self._ever_evaluated = False
+        self.round_log: list[dict] = []
 
         if resume is not None:
             cost_model = self._restore(resume)
-        self.transport = TcpTransport(
+        self.comm = self.transport = TcpTransport(
             num_clients,
             config=run_config,
             host=host,
@@ -291,21 +290,20 @@ class FedTcpServer:
             raise ValueError(
                 f"checkpoint is for {meta['num_clients']} clients, server has {self.num_clients}"
             )
-        self._start_round = int(meta["next_round"])
+        self.start_round = int(meta["next_round"])
         self.global_state = gstate if gstate else None
         set_rng_state(self.sampler.rng, meta["sampler_rng"])
         self.data_sizes = {int(k): int(v) for k, v in meta["data_sizes"].items()}
-        self._history = RunHistory.from_dict(meta["history"])
-        self._round_log = [
+        self.history = RunHistory.from_dict(meta["history"])
+        self.round_log = [
             {**r, "losses": {int(k): v for k, v in r.get("losses", {}).items()}}
             for r in meta["round_log"]
         ]
-        self._last_accs = [float(a) for a in meta["last_accs"]]
-        self._ever_evaluated = bool(meta["ever_evaluated"])
+        self.accs = [float(a) for a in meta["last_accs"]] if meta["ever_evaluated"] else []
         self.lost_clients = list(meta.get("lost_clients", []))
         self.recovered_clients = list(meta.get("recovered_clients", []))
         self._lost_now = set(meta.get("lost_now", []))
-        self._current_round = self._start_round - 1
+        self._current_round = self.start_round - 1
         # rejoining workers idle until the next ROUND_START (-2: neither
         # the init phase nor a live round)
         self._round_info = {"round": -2}
@@ -318,10 +316,10 @@ class FedTcpServer:
             "rounds": self.rounds,
             "sampler_rng": rng_state(self.sampler.rng),
             "data_sizes": self.data_sizes,
-            "history": self._history.to_dict(),
-            "round_log": self._round_log,
-            "last_accs": self._last_accs,
-            "ever_evaluated": self._ever_evaluated,
+            "history": self.history.to_dict(),
+            "round_log": self.round_log,
+            "last_accs": self.accs or [0.0] * self.num_clients,
+            "ever_evaluated": bool(self.accs),
             "cost": self.transport.cost.to_dict(),
             "lost_clients": self.lost_clients,
             "recovered_clients": self.recovered_clients,
@@ -387,187 +385,175 @@ class FedTcpServer:
     # -- the run ---------------------------------------------------------
     def run(self) -> ServerResult:
         """Join workers, init the global classifier, run every round."""
-        if self.transport.port == 0 or self.transport._listener is None:
+        tp = self.transport
+        if tp.port == 0 or tp._listener is None:
             self.listen()
         try:
-            result = self._run_rounds()
+            history = super().run(self.rounds, self.eval_every, self.verbose)
         finally:
-            self.transport.close()
-        # workers hand in their BYE self-reports during close()
-        result.worker_reports = list(self.transport.worker_reports)
-        result.codec_stats = self.transport.codec_stats.to_dict()
-        return result
-
-    def _run_rounds(self) -> ServerResult:
-        tp = self.transport
-        tp.wait_for_workers(self.join_timeout_s)
-        if self._start_round == 0:
-            self._init_global_state()
-        tel = telemetry.get_telemetry()
-        monitor = tel.health
-        cost = tp.cost
-        history = self._history
-        round_log = self._round_log
-        last_accs = self._last_accs
-        ever_evaluated = self._ever_evaluated
-
-        for t in range(self._start_round, self.rounds):
-            if not tp.live_links():
-                print(f"[net] all workers lost — stopping after round {t - 1}")
-                break
-            self._current_round = t
-            sampled = self.sampler.sample(t)
-            evaluated = (t + 1) % self.eval_every == 0 or t == self.rounds - 1
-            if monitor is not None:
-                monitor.begin_round(t, sampled)
-            if tel.enabled:
-                tel.current_round = t
-                up0, down0 = cost.uplink_bytes(), cost.downlink_bytes()
-                comm0 = cost.total_time_s
-                wall0 = time.perf_counter()
-
-            with tel.context(round=t, algorithm=self.name):
-                with tel.span("round", round=t, algorithm=self.name, participants=len(sampled)):
-                    updates, compute_s, phases = self._one_round(t, sampled, evaluated)
-            # admission firewall: screen arrivals against the broadcast
-            # classifier before they can count toward quorum or enter the
-            # aggregate — a rejected update is excluded exactly like a
-            # dropout, but the client is tracked as arrived (not timed out)
-            arrived = set(updates)
-            admitted_states, rejected = screen_updates(
-                t,
-                {k: s for k, (_m, s) in updates.items()},
-                self.firewall,
-                self.global_state,
-            )
-            admitted = {k: updates[k] for k in admitted_states}
-            admitted, skipped = self._apply_quorum(
-                t, sampled, admitted, arrived, rejected
-            )
-            self.rejected_log.extend(rejected)
-            survivors = sorted(admitted)
-
-            # deadline misses by still-live workers: the FaultInjector's
-            # "upload never arrived" case without a death
-            timed_out = [
-                k for k in sampled if k not in arrived and tp.client_is_live(k)
-            ]
-            for k in timed_out:
-                if monitor is not None:
-                    monitor.emit_alert(
-                        "client_timeout",
-                        f"client {k} missed the round-{t} deadline "
-                        f"({self.round_timeout_s:.1f}s); aggregating without it",
-                        client=k,
-                        severity="warning",
-                        round_idx=t,
-                    )
-
-            if survivors and not skipped:
-                agg0 = time.perf_counter()
-                # shared entry point with the SimComm path; the firewall
-                # already screened, so only the aggregator runs here
-                outcome = admit_and_aggregate(
-                    t,
-                    {k: admitted[k][1] for k in survivors},
-                    {k: self.data_sizes[k] for k in survivors},
-                    aggregator=self.aggregator,
-                    reference=self.global_state,
-                )
-                if outcome.global_state is not None:
-                    self.global_state = outcome.global_state
-                phases["aggregate_s"] = time.perf_counter() - agg0
-            else:
-                phases["aggregate_s"] = 0.0
-            losses = {k: admitted[k][0].get("loss") for k in survivors}
-            survivor_losses = [v for v in losses.values() if v is not None]
-            train_loss = float(np.mean(survivor_losses)) if survivor_losses else 0.0
-
-            if evaluated:
-                accs_map = tp.collect_evals(t, Deadline(self.round_timeout_s))
-                for k, acc in accs_map.items():
-                    last_accs[k] = acc
-                ever_evaluated = True
-            accs = list(last_accs) if ever_evaluated else []
-
-            round_bytes = cost.end_round(participants=len(sampled))
-            if tel.enabled:
-                for name, v in phases.items():
-                    tel.latency(f"net.phase.{name}").observe(v)
-                tel.record_round(
-                    phase=dict(phases),
-                    round=t,
-                    algorithm=self.name,
-                    wall_s=time.perf_counter() - wall0,
-                    compute_s=compute_s,
-                    comm_s=cost.total_time_s - comm0,
-                    bytes=round_bytes,
-                    bytes_up=cost.uplink_bytes() - up0,
-                    bytes_down=cost.downlink_bytes() - down0,
-                    participants=len(sampled),
-                    survivors=len(survivors),
-                    train_loss=train_loss,
-                    evaluated=evaluated,
-                    skipped=skipped,
-                    mean_acc=float(np.mean(accs)) if accs else None,
-                )
-            if monitor is not None:
-                monitor.end_round(t, survivors=survivors, accs=accs if evaluated else None)
-            history.append(
-                RoundMetrics(
-                    round_idx=t,
-                    client_accs=accs,
-                    comm_bytes=round_bytes,
-                    local_epochs=self.local_epochs,
-                    train_loss=train_loss,
-                    evaluated=evaluated,
-                )
-            )
-            round_log.append(
-                {
-                    "round": t,
-                    "sampled": sampled,
-                    "survivors": survivors,
-                    "timed_out": timed_out,
-                    "rejected": rejected,
-                    "losses": losses,
-                    "bytes": round_bytes,
-                    "skipped": skipped,
-                }
-            )
-            self._ever_evaluated = ever_evaluated
-            if self.verbose:
-                m = history.rounds[-1]
-                print(
-                    f"[net] round {t + 1}/{self.rounds} "
-                    f"acc={m.mean_acc:.4f} survivors={len(survivors)}/{len(sampled)} "
-                    f"bytes={round_bytes}" + (" SKIPPED" if skipped else "")
-                )
-
-            if (
-                self.checkpoint_path is not None
-                and self.checkpoint_every > 0
-                and (t + 1) % self.checkpoint_every == 0
-            ):
-                save_server_checkpoint(
-                    self.checkpoint_path, self._checkpoint_meta(t + 1), self.global_state
-                )
-            if self.crash_after_round is not None and t == self.crash_after_round:
-                tp.abort()
-                raise SimulatedCrash(f"simulated server crash after round {t}")
-
+            tp.close()
         assert self.global_state is not None
+        # workers hand in their BYE self-reports during close()
         return ServerResult(
             history,
-            cost,
+            tp.cost,
             self.global_state,
-            round_log,
+            self.round_log,
             self.lost_clients,
             recovered_clients=self.recovered_clients,
             permanently_lost=sorted(self._lost_now),
             worker_reports=tp.worker_reports,
+            codec_stats=tp.codec_stats.to_dict(),
             rejected_updates=self.rejected_log,
         )
+
+    def setup(self) -> None:
+        """Wait for every worker; a fresh run then builds the t=0 global."""
+        self.transport.wait_for_workers(self.join_timeout_s)
+        if self.start_round == 0:
+            self._init_global_state()
+
+    def round(self, t: int, sampled: list[int]) -> float | None:
+        """Broadcast → collect → screen → quorum → aggregate, over TCP.
+
+        Reports to the loop the survivors, ``skipped``, the survivors'
+        self-reported training time summed (total work) as compute, and
+        the round's critical-path phases: ``broadcast_s`` (send-loop
+        wall), ``compute_s`` (slowest survivor — the path the round
+        actually waited on), ``wait_s`` (collection wall beyond that
+        slowest training: wire latency + straggler slack) and
+        ``aggregate_s``.  Appends the round's ``round_log`` row.
+        """
+        assert self.global_state is not None
+        tp = self.transport
+        monitor = telemetry.get_telemetry().health
+        self._current_round = t
+        trace = self._trace_meta()
+        phases: dict[str, float] = {}
+        # publish before broadcasting: a worker that rejoins mid-round
+        # must see this round in its CONFIG reply, not the previous one
+        self._round_info = {"round": t, "sampled": sampled, "evaluated": self.evaluating}
+        bcast0 = time.perf_counter()
+        start_meta = dict(self._round_info)
+        if trace is not None:
+            start_meta["_trace"] = trace
+        tp.broadcast_control(MsgType.ROUND_START, start_meta)
+        for k in sampled:
+            cls_meta: dict = {"round": t}
+            if trace is not None:
+                cls_meta["_trace"] = trace
+            try:
+                tp.send_to_client(k, MsgType.CLASSIFIER, cls_meta, self.global_state)
+            except ConnectionError:
+                continue  # worker died; loss already recorded via on_worker_lost
+        phases["broadcast_s"] = time.perf_counter() - bcast0
+        if self.crash_in_round is not None and t == self.crash_in_round:
+            tp.abort()
+            raise SimulatedCrash(f"simulated server crash mid-round {t}")
+        collect0 = time.perf_counter()
+        updates = tp.collect_updates(t, sampled, Deadline(self.round_timeout_s))
+        collect_s = time.perf_counter() - collect0
+        self.last_compute_s = 0.0
+        slowest = 0.0
+        for k, (meta, _state) in sorted(updates.items()):
+            dur = float(meta.get("duration_s") or 0.0)
+            self.last_compute_s += dur
+            slowest = max(slowest, dur)
+            if monitor is not None:
+                monitor.observe_client(
+                    k,
+                    loss=meta.get("loss"),
+                    duration_s=meta.get("duration_s"),
+                    batches=meta.get("batches"),
+                )
+        phases["compute_s"] = slowest
+        phases["wait_s"] = max(0.0, collect_s - slowest)
+
+        # admission firewall: screen arrivals against the broadcast
+        # classifier before they can count toward quorum or enter the
+        # aggregate — a rejected update is excluded exactly like a
+        # dropout, but the client is tracked as arrived (not timed out)
+        arrived = set(updates)
+        admitted_states, rejected = screen_updates(
+            t,
+            {k: s for k, (_m, s) in updates.items()},
+            self.firewall,
+            self.global_state,
+        )
+        admitted = {k: updates[k] for k in admitted_states}
+        admitted, skipped = self._apply_quorum(t, sampled, admitted, arrived, rejected)
+        self.rejected_log.extend(rejected)
+        survivors = sorted(admitted)
+
+        # deadline misses by still-live workers: the FaultInjector's
+        # "upload never arrived" case without a death
+        timed_out = [k for k in sampled if k not in arrived and tp.client_is_live(k)]
+        for k in timed_out:
+            if monitor is not None:
+                monitor.emit_alert(
+                    "client_timeout",
+                    f"client {k} missed the round-{t} deadline "
+                    f"({self.round_timeout_s:.1f}s); aggregating without it",
+                    client=k,
+                    severity="warning",
+                    round_idx=t,
+                )
+
+        phases["aggregate_s"] = 0.0
+        if survivors and not skipped:
+            agg0 = time.perf_counter()
+            # shared entry point with the SimComm path; the firewall
+            # already screened, so only the aggregator runs here
+            outcome = admit_and_aggregate(
+                t,
+                {k: admitted[k][1] for k in survivors},
+                {k: self.data_sizes[k] for k in survivors},
+                aggregator=self.aggregator,
+                reference=self.global_state,
+            )
+            if outcome.global_state is not None:
+                self.global_state = outcome.global_state
+            phases["aggregate_s"] = time.perf_counter() - agg0
+        losses = {k: admitted[k][0].get("loss") for k in survivors}
+        self.round_log.append(
+            {
+                "round": t,
+                "sampled": sampled,
+                "survivors": survivors,
+                "timed_out": timed_out,
+                "rejected": rejected,
+                "losses": losses,
+                "bytes": None,  # the loop closes the round's bytes; after_round fills it
+                "skipped": skipped,
+            }
+        )
+        self.last_survivors, self.last_skipped, self.last_phases = survivors, skipped, phases
+        survivor_losses = [v for v in losses.values() if v is not None]
+        return float(np.mean(survivor_losses)) if survivor_losses else None
+
+    def evaluate_all(self) -> list[float | None]:
+        """Collect the workers' accuracies; ``None`` for a client that sent none."""
+        got = self.transport.collect_evals(self._current_round, Deadline(self.round_timeout_s))
+        return [got.get(k) for k in range(self.num_clients)]
+
+    def after_round(self, t: int) -> bool:
+        """Checkpoint, fire crash hooks, and stop once every worker is lost."""
+        self.round_log[-1]["bytes"] = self.history.rounds[-1].comm_bytes
+        if (
+            self.checkpoint_path is not None
+            and self.checkpoint_every > 0
+            and (t + 1) % self.checkpoint_every == 0
+        ):
+            save_server_checkpoint(
+                self.checkpoint_path, self._checkpoint_meta(t + 1), self.global_state
+            )
+        if self.crash_after_round is not None and t == self.crash_after_round:
+            self.transport.abort()
+            raise SimulatedCrash(f"simulated server crash after round {t}")
+        if t + 1 < self.rounds and not self.transport.live_links():
+            print(f"[net] all workers lost — stopping after round {t}")
+            return True
+        return False
 
     # -- round internals -------------------------------------------------
     def _init_global_state(self) -> None:
@@ -697,60 +683,3 @@ class FedTcpServer:
         if sid is None:
             return None
         return {"id": self._trace_id, "span": sid}
-
-    def _one_round(
-        self, t: int, sampled: list[int], evaluated: bool
-    ) -> tuple[dict[int, tuple[dict, dict]], float, dict[str, float]]:
-        """Broadcast, then gather this round's updates.
-
-        Returns ``(updates, compute_s, phases)`` where ``compute_s`` sums
-        every survivor's self-reported training time (total work) and
-        ``phases`` is the round's critical-path breakdown: ``broadcast_s``
-        (send-loop wall), ``compute_s`` (slowest survivor — the path the
-        round actually waited on), ``wait_s`` (collection wall beyond
-        that slowest training: wire latency + straggler slack).
-        """
-        assert self.global_state is not None
-        tp = self.transport
-        trace = self._trace_meta()
-        phases: dict[str, float] = {}
-        # publish before broadcasting: a worker that rejoins mid-round
-        # must see this round in its CONFIG reply, not the previous one
-        self._round_info = {"round": t, "sampled": sampled, "evaluated": evaluated}
-        bcast0 = time.perf_counter()
-        start_meta = {"round": t, "sampled": sampled, "evaluated": evaluated}
-        if trace is not None:
-            start_meta["_trace"] = trace
-        tp.broadcast_control(MsgType.ROUND_START, start_meta)
-        for k in sampled:
-            cls_meta: dict = {"round": t}
-            if trace is not None:
-                cls_meta["_trace"] = trace
-            try:
-                tp.send_to_client(k, MsgType.CLASSIFIER, cls_meta, self.global_state)
-            except ConnectionError:
-                continue  # worker died; loss already recorded via on_worker_lost
-        phases["broadcast_s"] = time.perf_counter() - bcast0
-        if self.crash_in_round is not None and t == self.crash_in_round:
-            tp.abort()
-            raise SimulatedCrash(f"simulated server crash mid-round {t}")
-        collect0 = time.perf_counter()
-        updates = tp.collect_updates(t, sampled, Deadline(self.round_timeout_s))
-        collect_s = time.perf_counter() - collect0
-        monitor = telemetry.get_telemetry().health
-        compute_s = 0.0
-        slowest = 0.0
-        for k, (meta, _state) in sorted(updates.items()):
-            dur = float(meta.get("duration_s") or 0.0)
-            compute_s += dur
-            slowest = max(slowest, dur)
-            if monitor is not None:
-                monitor.observe_client(
-                    k,
-                    loss=meta.get("loss"),
-                    duration_s=meta.get("duration_s"),
-                    batches=meta.get("batches"),
-                )
-        phases["compute_s"] = slowest
-        phases["wait_s"] = max(0.0, collect_s - slowest)
-        return updates, compute_s, phases

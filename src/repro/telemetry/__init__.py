@@ -6,7 +6,7 @@ Six instruments behind one facade:
   ``local_update`` / ``aggregate``), thread-safe for executor workers,
   with cross-thread parent adoption and inheritable context attributes
   (``round``, ``client``) so worker spans stay attributable;
-* **metrics** — process-wide counters / gauges / histograms;
+* **metrics** — process-wide counters / gauges / latency histograms;
 * **op profiler** — opt-in per-op forward/backward attribution inside
   the autograd engine (:mod:`repro.telemetry.opprof`);
 * **memory profiler** — opt-in allocation tracking in the autograd
@@ -68,7 +68,6 @@ from repro.telemetry.memprof import MemoryProfiler, active_memprof, format_mem_s
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
-    Histogram,
     LogBucketHistogram,
     MetricsRegistry,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "span",
     "counter",
     "gauge",
-    "histogram",
     "latency",
     "record_round",
     "record_event",
@@ -106,7 +104,6 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
     "LogBucketHistogram",
     "OpProfiler",
     "profiled_op",
@@ -229,9 +226,6 @@ class NullTelemetry:
     def gauge(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def histogram(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
     def latency(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
@@ -333,9 +327,6 @@ class Telemetry:
 
     def gauge(self, name: str) -> Gauge:
         return self.metrics.gauge(name)
-
-    def histogram(self, name: str) -> Histogram:
-        return self.metrics.histogram(name)
 
     def latency(self, name: str) -> LogBucketHistogram:
         """Log-bucket latency histogram (p50/p95/p99 with bounded memory)."""
@@ -442,11 +433,6 @@ def counter(name: str):
 def gauge(name: str):
     """Gauge ``name`` on the current backend (no-op instrument when disabled)."""
     return _current.gauge(name)
-
-
-def histogram(name: str):
-    """Histogram ``name`` on the current backend (no-op instrument when disabled)."""
-    return _current.histogram(name)
 
 
 def latency(name: str):

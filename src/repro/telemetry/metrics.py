@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: counters, gauges, latency histograms.
 
 Every instrument is safe to update from ``ThreadExecutor`` workers —
 updates take a per-instrument lock, and get-or-create on the registry
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import threading
 
-__all__ = ["Counter", "Gauge", "Histogram", "LogBucketHistogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "LogBucketHistogram", "MetricsRegistry"]
 
 
 class Counter:
@@ -42,46 +42,6 @@ class Gauge:
     def set(self, v: float) -> None:
         with self._lock:
             self.value = float(v)
-
-
-class Histogram:
-    """Streaming summary statistics (count / sum / min / max)."""
-
-    __slots__ = ("name", "_lock", "count", "total", "min", "max")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._lock = threading.Lock()
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, v: float) -> None:
-        v = float(v)
-        with self._lock:
-            self.count += 1
-            self.total += v
-            if v < self.min:
-                self.min = v
-            if v > self.max:
-                self.max = v
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def summary(self) -> dict:
-        with self._lock:
-            if self.count == 0:
-                return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
-            return {
-                "count": self.count,
-                "total": self.total,
-                "min": self.min,
-                "max": self.max,
-                "mean": self.total / self.count,
-            }
 
 
 class LogBucketHistogram:
@@ -213,7 +173,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._latencies: dict[str, LogBucketHistogram] = {}
 
     def _get(self, table: dict, name: str, cls):
@@ -229,9 +188,6 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(self._gauges, name, Gauge)
 
-    def histogram(self, name: str) -> Histogram:
-        return self._get(self._histograms, name, Histogram)
-
     def latency(self, name: str) -> LogBucketHistogram:
         return self._get(self._latencies, name, LogBucketHistogram)
 
@@ -240,12 +196,10 @@ class MetricsRegistry:
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
             latencies = dict(self._latencies)
         snap = {
             "counters": {k: c.value for k, c in counters.items()},
             "gauges": {k: g.value for k, g in gauges.items()},
-            "histograms": {k: h.summary() for k, h in histograms.items()},
         }
         if latencies:
             snap["latencies"] = {k: h.summary() for k, h in latencies.items()}

@@ -87,6 +87,30 @@ class TestProtocol:
         assert history.algorithm == "fedclassavg"
 
 
+class TestNothingAdmitted:
+    def test_fully_rejected_round_has_no_train_loss(self, micro_spec):
+        """A round whose every upload is quarantined reports no loss, not 0.0."""
+        from repro import telemetry
+        from repro.federated.firewall import UpdateFirewall, UpdateValidator
+
+        class RejectAll(UpdateValidator):
+            name = "reject_all"
+
+            def check(self, round_idx, client, state, reference, ctx):
+                return "every update is rejected"
+
+        algo = FedClassAvg(_clients(micro_spec), seed=0, firewall=UpdateFirewall([RejectAll()]))
+        tel = telemetry.configure()
+        try:
+            history = algo.run(2)
+        finally:
+            tel.close()
+            telemetry.disable()
+        assert [m.train_loss for m in history.rounds] == [None, None]
+        assert [r["train_loss"] for r in tel.rounds] == [None, None]
+        assert [r["survivors"] for r in tel.rounds] == [0, 0]
+
+
 class TestAblationFlags:
     def test_flags_change_training(self, micro_spec):
         finals = {}

@@ -33,24 +33,43 @@ def spec() -> FederationSpec:
     )
 
 
+def _telemetered(fn):
+    """``fn()`` with telemetry on: (its result, the ``round`` records)."""
+    tel = telemetry.configure()
+    try:
+        out = fn()
+    finally:
+        tel.close()
+        telemetry.disable()
+    return out, list(tel.rounds)
+
+
 @pytest.fixture(scope="module")
-def sim_run():
+def round_records():
+    """Round telemetry records of ``sim_run`` and ``tcp_run``, by transport."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def sim_run(round_records):
     """Reference in-process run: (history, global_state)."""
     clients, _ = build_federation(spec())
     algo = FedClassAvg(clients, rho=0.1, sample_rate=1.0, local_epochs=1, seed=0)
-    history = algo.run(ROUNDS)
+    history, round_records["sim"] = _telemetered(lambda: algo.run(ROUNDS))
     return history, algo.global_state
 
 
 @pytest.fixture(scope="module")
-def tcp_run():
-    result, codes = run_tcp_federation(
-        asdict(spec()),
-        rounds=ROUNDS,
-        workers=2,
-        trainer={"rho": 0.1},
-        seed=0,
-        round_timeout_s=60.0,
+def tcp_run(round_records):
+    (result, codes), round_records["tcp"] = _telemetered(
+        lambda: run_tcp_federation(
+            asdict(spec()),
+            rounds=ROUNDS,
+            workers=2,
+            trainer={"rho": 0.1},
+            seed=0,
+            round_timeout_s=60.0,
+        )
     )
     return result, codes
 
@@ -103,6 +122,26 @@ class TestBitIdentity:
             assert cost.per_link[(k + 1, 0)] > 0, f"no uplink from client {k}"
         assert cost.total_bytes == sum(cost.per_link.values())
         assert len(cost.per_round) == ROUNDS  # end_round() closed each round
+
+
+class TestOneRoundLoop:
+    """Both transports run ``FederatedAlgorithm.run``: one record schema."""
+
+    def test_round_records_share_one_schema(self, sim_run, tcp_run, round_records):
+        sim, tcp = round_records["sim"], round_records["tcp"]
+        assert len(sim) == len(tcp) == ROUNDS
+        for s, t in zip(sim, tcp):
+            # phase breakdowns are measured on the TCP transport only
+            assert set(s) == set(t) - {"phase"}
+            for key in ("participants", "survivors", "evaluated", "skipped"):
+                assert s[key] == t[key], key
+
+    def test_client_accs_equal(self, sim_run, tcp_run):
+        sim_hist, _ = sim_run
+        result, _ = tcp_run
+        assert [m.client_accs for m in result.history.rounds] == [
+            m.client_accs for m in sim_hist.rounds
+        ]
 
 
 class TestWorkerDeath:

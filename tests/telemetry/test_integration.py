@@ -69,7 +69,7 @@ class TestRunTelemetry:
             telemetry.disable()
         # one local_update span per client, recorded from worker threads
         assert tel.tracer.total("local_update")[0] == len(clients)
-        assert tel.metrics.histogram("executor.task_s").count == len(clients)
+        assert tel.metrics.latency("executor.task_s").count == len(clients)
 
     def test_fault_injection_survivor_accounting(self, micro_federation):
         clients, _ = micro_federation

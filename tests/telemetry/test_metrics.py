@@ -23,7 +23,7 @@ class TestInstruments:
 
     def test_histogram(self):
         reg = MetricsRegistry()
-        h = reg.histogram("task_s")
+        h = reg.latency("task_s")
         for v in (1.0, 3.0, 2.0):
             h.observe(v)
         s = h.summary()
@@ -32,18 +32,21 @@ class TestInstruments:
         assert abs(s["mean"] - 2.0) < 1e-12
 
     def test_empty_histogram_summary(self):
-        s = MetricsRegistry().histogram("empty").summary()
-        assert s == {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
+        s = MetricsRegistry().latency("empty").summary()
+        assert s == {
+            "count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0,
+        }
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
         reg.gauge("g").set(2)
-        reg.histogram("h").observe(0.5)
+        reg.latency("h").observe(0.5)
         snap = reg.snapshot()
         assert snap["counters"] == {"c": 1.0}
         assert snap["gauges"] == {"g": 2.0}
-        assert snap["histograms"]["h"]["count"] == 1
+        assert snap["latencies"]["h"]["count"] == 1
 
 
 class TestThreadSafety:
@@ -54,7 +57,7 @@ class TestThreadSafety:
 
         def work():
             c = reg.counter("shared")
-            h = reg.histogram("obs")
+            h = reg.latency("obs")
             for _ in range(n_incs):
                 c.inc()
                 h.observe(1.0)
@@ -65,4 +68,4 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert reg.counter("shared").value == n_threads * n_incs
-        assert reg.histogram("obs").count == n_threads * n_incs
+        assert reg.latency("obs").count == n_threads * n_incs

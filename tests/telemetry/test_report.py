@@ -268,7 +268,6 @@ class TestNetworkSection:
                 "type": "metrics",
                 "counters": {},
                 "gauges": {},
-                "histograms": {},
                 "latencies": {
                     "net.send_s.CLASSIFIER": self.lat(),
                     "net.straggler_wait_s": self.lat(count=2, p50=0.5, p95=0.9, p99=0.9, mx=0.95),

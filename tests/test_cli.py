@@ -343,3 +343,49 @@ class TestNetObservabilityParsers:
         assert rank_telemetry_path("run.jsonl", 1) == "run.rank1.jsonl"
         assert rank_telemetry_path("/a/b/run.jsonl", 3) == "/a/b/run.rank3.jsonl"
         assert rank_telemetry_path("noext", 2) == "noext.rank2.jsonl"
+
+
+class TestBenchGate:
+    """The one trajectory/gate helper behind ``bench-comm`` and ``bench-net``."""
+
+    def _args(self, tmp_path, baseline=None, gate=True):
+        from argparse import Namespace
+
+        return Namespace(output=str(tmp_path / "BENCH.json"), baseline=baseline, gate=gate)
+
+    @staticmethod
+    def _compare(last):
+        if last["x"] > 1:
+            return f"x regressed from {last['x']}", None
+        return None, "baseline check: within tolerance"
+
+    def test_appends_to_trajectory(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import _bench_gate
+
+        args = self._args(tmp_path)
+        assert _bench_gate(args, {"x": 1}, [], self._compare) == 0
+        assert _bench_gate(args, {"x": 2}, [], self._compare) == 0
+        doc = json.loads((tmp_path / "BENCH.json").read_text())
+        assert doc == {"schema": 1, "entries": [{"x": 1}, {"x": 2}]}
+        assert capsys.readouterr().out.count("bench gate: OK") == 2
+
+    def test_compares_with_last_baseline_entry(self, tmp_path, capsys):
+        from repro.cli import _bench_gate
+
+        base = self._args(tmp_path)
+        _bench_gate(base, {"x": 1}, [], self._compare)
+        _bench_gate(base, {"x": 5}, [], self._compare)
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        gated = self._args(out_dir, baseline=base.output)
+        assert _bench_gate(gated, {"x": 0}, [], self._compare) == 1
+        captured = capsys.readouterr()
+        assert "bench gate: FAIL — x regressed from 5" in captured.err
+        # without --gate a failure is reported but does not fail the exit code
+        ungated = self._args(out_dir, baseline=base.output, gate=False)
+        assert _bench_gate(ungated, {"x": 0}, ["precondition"], self._compare) == 0
+        out = capsys.readouterr().out
+        assert "bench gate: FAIL — precondition" in out and "bench gate: OK" not in out
